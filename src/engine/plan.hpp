@@ -4,6 +4,7 @@
 // instance never re-executes a mapper.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,25 @@ struct MappingPlan {
     return Remapping::from_cells(grid, cell_of_rank);
   }
 
-  friend bool operator==(const MappingPlan&, const MappingPlan&) = default;
+  /// The plan's GRIDMAP frame: exactly serialize_plan(*this), stored by
+  /// seal_plan when the plan becomes immutable (or kept by parse_plan from
+  /// the block it read), so serving a plan writes bytes instead of encoding
+  /// them. Empty on a plan that was built field by field and never sealed.
+  const std::string& frame() const noexcept { return frame_; }
+
+  /// Equal plans have the same signature, mapper, objective, costs and
+  /// cells; the frame is a derived encoding and takes no part.
+  friend bool operator==(const MappingPlan& a, const MappingPlan& b) {
+    return a.signature == b.signature && a.mapper == b.mapper &&
+           a.objective == b.objective && a.jsum == b.jsum && a.jmax == b.jmax &&
+           a.cell_of_rank == b.cell_of_rank;
+  }
+
+ private:
+  friend std::shared_ptr<const MappingPlan> seal_plan(MappingPlan plan);
+  friend MappingPlan parse_plan(std::string text);
+
+  std::string frame_;
 };
 
 }  // namespace gridmap::engine

@@ -35,6 +35,7 @@ std::shared_ptr<const MappingPlan> PlanCache::probe(const std::string& signature
 
 void PlanCache::put(const std::string& signature, std::shared_ptr<const MappingPlan> plan) {
   GRIDMAP_CHECK(plan != nullptr, "cannot cache a null plan");
+  GRIDMAP_CHECK(!plan->frame().empty(), "cannot cache a plan without its frame (seal_plan it)");
   std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0) return;
   const auto it = index_.find(signature);
@@ -79,8 +80,8 @@ void PlanCache::clear() {
 }
 
 void PlanCache::save(const std::string& path) const {
-  // Snapshot under the lock (plans are immutable shared_ptrs), serialize
-  // after releasing it so concurrent get()/put() never stall on file work.
+  // Snapshot under the lock (plans are immutable shared_ptrs), write after
+  // releasing it so concurrent get()/put() never stall on file work.
   std::vector<std::shared_ptr<const MappingPlan>> plans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -92,7 +93,7 @@ void PlanCache::save(const std::string& path) const {
     }
   }
   std::string text;
-  for (const auto& plan : plans) text += serialize_plan(*plan);
+  for (const auto& plan : plans) text += plan->frame();
 
   // Write-then-rename so a failed or interrupted write never destroys a
   // previously persisted cache file.
@@ -120,6 +121,8 @@ std::size_t PlanCache::load(const std::string& path) {
   // Each serialized plan ends with a line reading exactly "end"; split on
   // it. Parse the entire file before inserting anything: a malformed block
   // anywhere must leave the cache exactly as it was (no partial state).
+  // Each parsed block stays its plan's frame, so a loaded plan is served
+  // (and saved again) without being re-encoded.
   std::vector<std::shared_ptr<const MappingPlan>> parsed;
   std::size_t pos = 0;
   while (pos < text.size()) {

@@ -46,7 +46,8 @@ class PlanCache {
   std::shared_ptr<const MappingPlan> probe(const std::string& signature);
 
   /// Inserts or refreshes a plan under `signature`, evicting the least
-  /// recently used entry when over capacity.
+  /// recently used entry when over capacity. The plan must carry its frame
+  /// (seal_plan or parse_plan built it): hits are served from that frame.
   void put(const std::string& signature, std::shared_ptr<const MappingPlan> plan);
 
   CacheStats stats() const;
@@ -54,7 +55,7 @@ class PlanCache {
   std::size_t capacity() const noexcept { return capacity_; }
   void clear();
 
-  /// Persists every cached plan to `path` as concatenated plan_io blocks,
+  /// Persists every cached plan's frame to `path` as concatenated blocks,
   /// written least- to most-recently used so load() reproduces the recency
   /// order. Throws on I/O failure.
   void save(const std::string& path) const;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/types.hpp"
+#include "engine/plan_io.hpp"
 #include "engine/signature.hpp"
 #include "engine/telemetry.hpp"
 
@@ -44,6 +45,22 @@ class StageScope {
 gridmap::obs::LatencyHistogram* stage_hist(const StageEnv& env,
                                            gridmap::obs::LatencyHistogram* EngineTelemetry::*hist) {
   return env.telemetry != nullptr ? env.telemetry->*hist : nullptr;
+}
+
+/// The immutable plan of `mapper`'s assignment, final and provisional alike:
+/// the one place a race result becomes a plan, so every plan the engine
+/// hands out carries its frame, encoded here exactly once.
+std::shared_ptr<const MappingPlan> build_plan(const StageEnv& env, const std::string& signature,
+                                              const std::string& mapper, const MappingCost& cost,
+                                              const std::vector<Cell>& cell_of_rank) {
+  MappingPlan plan;
+  plan.signature = signature;
+  plan.mapper = mapper;
+  plan.objective = env.options.objective;
+  plan.jsum = cost.jsum;
+  plan.jmax = cost.jmax;
+  plan.cell_of_rank = cell_of_rank;
+  return seal_plan(std::move(plan));
 }
 
 /// The synthesized result of a backend the selector pruned from a race.
@@ -391,14 +408,8 @@ std::shared_ptr<const MappingPlan> SpeculateStage::run(const StageEnv& env,
       env.mapper_runs.fetch_add(1, std::memory_order_relaxed);
       Remapping remapping = mapper->remap(grid, stencil, alloc, ctx);
       const MappingCost cost = evaluate_mapping(grid, stencil, remapping, alloc);
-      auto plan = std::make_shared<MappingPlan>();
-      plan->signature = signature;
-      plan->mapper = name;
-      plan->objective = env.options.objective;
-      plan->jsum = cost.jsum;
-      plan->jmax = cost.jmax;
-      plan->cell_of_rank = remapping.cell_of_rank();
-      return plan;  // NOT cached, NOT recorded — see the contract above
+      // NOT cached, NOT recorded — see the contract above.
+      return build_plan(env, signature, name, cost, remapping.cell_of_rank());
     } catch (const std::exception&) {
       // Deadline, cancellation, or a backend failure: try the next candidate.
     }
@@ -434,13 +445,7 @@ std::shared_ptr<const MappingPlan> RecordStage::commit(
   GRIDMAP_CHECK(winner >= 0, "no applicable backend for instance: " + signature);
 
   const BackendResult& best = results[static_cast<std::size_t>(winner)];
-  auto plan = std::make_shared<MappingPlan>();
-  plan->signature = signature;
-  plan->mapper = best.name;
-  plan->objective = env.options.objective;
-  plan->jsum = best.cost.jsum;
-  plan->jmax = best.cost.jmax;
-  plan->cell_of_rank = best.remapping->cell_of_rank();
+  auto plan = build_plan(env, signature, best.name, best.cost, best.remapping->cell_of_rank());
   env.cache.put(signature, plan);
   return plan;
 }

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/types.hpp"
-#include "engine/plan_io.hpp"
 
 namespace gridmap::engine::wire {
 
@@ -202,13 +201,11 @@ MapRequest parse_map_request(std::istream& args) {
 }
 
 std::string provisional_plan_frame(const MappingPlan& plan) {
-  std::string frame = serialize_plan(plan);
   // "gridmap-plan v1\n..." -> "gridmap-plan v1 provisional\n...": the flag
   // rides the header line, so every other line (and the end terminator)
-  // stays byte-identical to a plain plan block.
-  const std::size_t newline = frame.find('\n');
-  frame.insert(newline, " provisional");
-  return frame;
+  // stays byte-identical to the plan's stored frame.
+  const std::string& frame = plan.frame();
+  return std::string(kProvisionalHeader).append(frame, frame.find('\n'));
 }
 
 Response handle_request_ex(ShardedService& service, const std::string& line,
@@ -221,7 +218,7 @@ Response handle_request_ex(ShardedService& service, const std::string& line,
       const MapRequest request = parse_map_request(args);
       MapTicket ticket = service.map_async(request.instance.grid, request.instance.stencil,
                                            request.instance.alloc, request.priority);
-      return {serialize_plan(*ticket.get()), nullptr};
+      return {ticket.get()->frame(), nullptr};
     }
     if (command == "mapspec") {
       const MapRequest request = parse_map_request(args);
@@ -235,13 +232,13 @@ Response handle_request_ex(ShardedService& service, const std::string& line,
       if (ticket->future().wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
         // Cache hit, or the race beat the speculation pass: the answer is
         // already final — one plain plan block, no revision push.
-        return {serialize_plan(*ticket->get()), nullptr};
+        return {ticket->get()->frame(), nullptr};
       }
       Response response;
       response.immediate = provisional_plan_frame(*provisional);
       response.follow_up = [ticket]() -> std::string {
         try {
-          return std::string(kRevisionLine) + "\n" + serialize_plan(*ticket->get());
+          return std::string(kRevisionLine) + "\n" + ticket->get()->frame();
         } catch (const AdmissionError& e) {
           return error_frame(ErrorCode::kBusy, to_string(e.reason()));
         } catch (const std::exception& e) {

@@ -165,7 +165,8 @@ inline constexpr std::string_view kProvisionalHeader = "gridmap-plan v1 provisio
 /// final plain plan block follows it.
 inline constexpr std::string_view kRevisionLine = "revision";
 
-/// serialize_plan(plan) with the header rewritten to kProvisionalHeader.
+/// The plan's stored frame with its header line written as
+/// kProvisionalHeader — a copy, never a re-encode.
 std::string provisional_plan_frame(const MappingPlan& plan);
 
 /// A handled request: the frame to write now, plus — for mapspec misses —

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,11 @@ class SlowMapper final : public Mapper {
 };
 
 std::shared_ptr<const MappingPlan> make_plan(const std::string& signature) {
-  auto plan = std::make_shared<MappingPlan>();
-  plan->signature = signature;
-  plan->mapper = "blocked";
-  plan->cell_of_rank = {0, 1, 2, 3};
-  return plan;
+  MappingPlan plan;
+  plan.signature = signature;
+  plan.mapper = "blocked";
+  plan.cell_of_rank = {0, 1, 2, 3};
+  return seal_plan(std::move(plan));
 }
 
 // ------------------------------------------------------------- signatures --
@@ -793,6 +794,47 @@ TEST(PlanCache, SaveLoadRoundTripsPlansAndRecency) {
   EXPECT_NE(reloaded.get("c"), nullptr);
   EXPECT_EQ(reloaded.get("b"), nullptr);  // evicted as least recent
   std::remove(path.c_str());
+}
+
+TEST(PlanCache, SaveLoadSaveIsByteIdenticalAndEachBlockStaysItsPlansFrame) {
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  PlanCache cache(4);
+  cache.put("a", make_plan("a"));
+  cache.put("b", make_plan("b"));
+  cache.put("c", make_plan("c"));
+  const std::string first = ::testing::TempDir() + "gridmap_cache_resave_1.txt";
+  const std::string second = ::testing::TempDir() + "gridmap_cache_resave_2.txt";
+  cache.save(first);
+
+  PlanCache reloaded(4);
+  ASSERT_EQ(reloaded.load(first), 3u);
+  reloaded.save(second);  // before any get(): recency stays a < b < c
+  const std::string text = read(first);
+  EXPECT_EQ(read(second), text);
+
+  // The file is the loaded plans' frames, least recent first — each frame
+  // is exactly its block, and exactly what the encoder writes for the plan.
+  std::string frames;
+  for (const char* signature : {"a", "b", "c"}) {
+    const auto plan = reloaded.get(signature);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->frame(), serialize_plan(*plan));
+    frames += plan->frame();
+  }
+  EXPECT_EQ(frames, text);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+TEST(PlanCache, RefusesAPlanWithoutItsFrame) {
+  PlanCache cache(4);
+  auto unsealed = std::make_shared<MappingPlan>();
+  unsealed->mapper = "blocked";
+  EXPECT_THROW(cache.put("x", unsealed), std::invalid_argument);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PlanCache, LoadRejectsMalformedFiles) {

@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -70,19 +72,13 @@ std::string sample_history_text() {
 
 // ----------------------------------------------------------------- plan_io --
 
-TEST(FuzzPlanIo, EveryTruncationFailsCleanlyOrParsesTheFullPlan) {
+TEST(FuzzPlanIo, EveryTruncationFailsCleanly) {
+  // A parsed block becomes the plan's frame, so no proper prefix may parse —
+  // not even the full plan minus the final newline of "end".
   const std::string text = serialize_plan(sample_plan());
   for (std::size_t len = 0; len < text.size(); ++len) {
-    const std::string prefix = text.substr(0, len);
-    try {
-      const MappingPlan parsed = parse_plan(prefix);
-      // The only prefix allowed to parse is the full plan minus the final
-      // newline (getline tolerates a missing trailing '\n' on "end").
-      EXPECT_EQ(len, text.size() - 1) << "unexpectedly parsed a " << len << "-byte prefix";
-      EXPECT_EQ(parsed, sample_plan());
-    } catch (const std::invalid_argument&) {
-      // clean rejection — expected for almost every prefix
-    }
+    EXPECT_THROW(parse_plan(text.substr(0, len)), std::invalid_argument)
+        << "parsed a " << len << "-byte prefix";
   }
   EXPECT_EQ(parse_plan(text), sample_plan());
 }
@@ -98,8 +94,11 @@ TEST(FuzzPlanIo, SingleByteMutationsNeverCrashOrMisparse) {
     try {
       const MappingPlan parsed = parse_plan(mutated);
       // A mutation may survive parsing (e.g. it hit a digit of jsum); the
-      // result must still serialize consistently — no torn/corrupt state.
+      // result must still serialize consistently — no torn/corrupt state —
+      // and back to exactly the mutated text it came from.
       EXPECT_EQ(parse_plan(serialize_plan(parsed)), parsed);
+      EXPECT_EQ(serialize_plan(parsed), mutated);
+      EXPECT_EQ(parsed.frame(), mutated);
     } catch (const std::invalid_argument&) {
     }
     // Any other exception type (or a crash) fails the test by itself.
@@ -121,6 +120,86 @@ TEST(FuzzPlanIo, GarbageAndWrongCountsAreRejected) {
   }
 }
 
+TEST(FuzzPlanIo, NonCanonicalEncodingsAreRejected) {
+  // Each of these decodes to a plan whose canonical encoding is different
+  // text; accepting it would leave a frame that is not serialize_plan's.
+  const std::string text = serialize_plan(sample_plan());
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"jsum 42", "jsum +42"},     {"jsum 42", "jsum 042"},   {"jsum 42", "jsum  42"},
+      {"jsum 42", "jsum 42 "},     {"jmax 7", "jmax -0"},     {"ranks 4", "ranks 04"},
+      {"cells 3", "cells  3"},     {"cells 3", "cells 03"},   {"cells 3", "cells +3"},
+      {" 2\nend", " 2 \nend"},     {"objective jsum", "objective JSUM"},
+      {"signature ", "signature"}, {"gridmap-plan v1\n", "gridmap-plan v1 \n"},
+      {"end\n", "end \n"},        {"end\n", "end\r\n"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string edited = text;
+    const std::size_t pos = edited.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    edited.replace(pos, from.size(), to);
+    EXPECT_THROW(parse_plan(edited), std::invalid_argument) << to;
+  }
+  // Blank lines after "end" are tolerated and stay out of the frame.
+  EXPECT_EQ(parse_plan(text + "\n\n").frame(), text);
+}
+
+/// The encoder as first written — one std::to_string per value — kept as a
+/// reference formatting for the fast encoder.
+std::string reference_encoding(const MappingPlan& plan) {
+  std::string out = "gridmap-plan v1";
+  out += "\nsignature " + plan.signature;
+  out += "\nobjective " + std::string(to_string(plan.objective));
+  out += "\nmapper " + plan.mapper;
+  out += "\njsum " + std::to_string(plan.jsum);
+  out += "\njmax " + std::to_string(plan.jmax);
+  out += "\nranks " + std::to_string(plan.cell_of_rank.size());
+  out += "\ncells";
+  for (const Cell c : plan.cell_of_rank) out += " " + std::to_string(c);
+  out += "\nend\n";
+  return out;
+}
+
+TEST(FuzzPlanIo, EncoderMatchesTheReferenceFormattingOnRandomPlans) {
+  using Limits = std::numeric_limits<std::int64_t>;
+  std::mt19937_64 rng(kSeed);
+  const std::vector<std::int64_t> extremes = {0, -1, 1, 9, 10, -10, 99, 100,
+                                              Limits::min(), Limits::min() + 1,
+                                              Limits::max(), Limits::max() - 1};
+  std::uniform_int_distribution<std::int64_t> any(Limits::min(), Limits::max());
+  std::uniform_int_distribution<std::size_t> pick(0, extremes.size() - 1);
+  const Objective objectives[] = {Objective::kJsum, Objective::kJmax, Objective::kLexJmaxJsum};
+  const std::size_t sizes[] = {0, 1, 2, 7, 100, 4096, 65536};
+
+  int round = 0;
+  for (const std::size_t ranks : sizes) {
+    for (int variant = 0; variant < 4; ++variant, ++round) {
+      MappingPlan plan;
+      plan.signature = variant == 3 ? "" : "g[" + std::to_string(ranks) + "]|o=" + std::to_string(round);
+      plan.mapper = variant == 2 ? "hyperplane+sockets" : "blocked";
+      plan.objective = objectives[round % 3];
+      plan.jsum = variant % 2 == 0 ? extremes[pick(rng)] : any(rng);
+      plan.jmax = variant % 2 == 0 ? extremes[pick(rng)] : any(rng);
+      plan.cell_of_rank.resize(ranks);
+      if (variant == 0) {
+        // A real assignment: a permutation of [0, ranks).
+        std::iota(plan.cell_of_rank.begin(), plan.cell_of_rank.end(), Cell{0});
+        std::shuffle(plan.cell_of_rank.begin(), plan.cell_of_rank.end(), rng);
+      } else {
+        for (Cell& c : plan.cell_of_rank) c = variant == 1 ? any(rng) : extremes[pick(rng)];
+      }
+
+      const std::string text = serialize_plan(plan);
+      ASSERT_EQ(text, reference_encoding(plan)) << "round " << round;
+      const MappingPlan parsed = parse_plan(text);
+      EXPECT_EQ(parsed, plan) << "round " << round;
+      EXPECT_EQ(parsed.frame(), text) << "round " << round;
+      EXPECT_EQ(seal_plan(plan)->frame(), text) << "round " << round;
+    }
+  }
+  // The zero-rank plan's cell line is the bare key, without a trailing space.
+  EXPECT_NE(serialize_plan(MappingPlan{}).find("\ncells\nend\n"), std::string::npos);
+}
+
 // -------------------------------------------------------------- plan cache --
 
 TEST(FuzzPlanCache, MalformedTailLeavesNoPartialState) {
@@ -130,7 +209,7 @@ TEST(FuzzPlanCache, MalformedTailLeavesNoPartialState) {
   write_file(path, serialize_plan(sample_plan("first")) + "garbage tail\n");
 
   PlanCache cache(8);
-  cache.put("existing", std::make_shared<MappingPlan>(sample_plan("existing")));
+  cache.put("existing", seal_plan(sample_plan("existing")));
   EXPECT_THROW(cache.load(path), std::invalid_argument);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.get("first"), nullptr) << "partial state: valid prefix was inserted";

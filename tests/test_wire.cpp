@@ -13,10 +13,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/blocked.hpp"
 #include "engine/plan_io.hpp"
+#include "engine/signature.hpp"
 #include "engine/wire.hpp"
 
 namespace gridmap::engine::wire {
@@ -632,6 +634,132 @@ TEST(WireSpec, TornRevisionWriteEndsTheConnectionNotTheShard) {
   EXPECT_EQ(serve(next, *service), ConnectionEnd::kEof);
   EXPECT_NE(next.written.find("gridmap-plan"), std::string::npos);
   EXPECT_EQ(service->counters().failed, 0u);
+}
+
+// ---------------------------------------------------- encode-once serving --
+// A plan's frame is encoded once, when the plan is built; every later serve
+// writes those stored bytes. The pins below edit a served plan's fields
+// behind the cache's back: a path that re-encoded would serve the edit, a
+// path that writes the stored frame serves the committed bytes. seal_plan
+// allocates a non-const MappingPlan, so these writes are well-defined; each
+// happens while no other thread reads the plan, and is undone afterwards.
+
+/// The cached plan of the instance `args` names, on a one-shard service.
+std::shared_ptr<const MappingPlan> cached_plan(ShardedService& service, const std::string& args) {
+  std::istringstream in(args);
+  const MapRequest request = parse_map_request(in);
+  const Instance& inst = request.instance;
+  return service.shard(0).engine().cached(
+      instance_signature(inst.grid, inst.stencil, inst.alloc, service.objective()));
+}
+
+/// `frame` with its header line rewritten as the provisional header.
+std::string provisional_of(const std::string& frame) {
+  return std::string(kProvisionalHeader) + frame.substr(frame.find('\n'));
+}
+
+TEST(WireEncodeOnce, MapAndMapspecHitsWriteTheCommittedPlansStoredFrame) {
+  auto service = tiny_service(1);
+  bool want_shutdown = false;
+  const std::string miss = handle_request(*service, "map 6x8 00 nn 6 8", want_shutdown);
+  const auto plan = cached_plan(*service, "6x8 00 nn 6 8");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(miss, plan->frame());
+  EXPECT_EQ(plan->frame(), serialize_plan(*plan));
+
+  MappingPlan& edited = const_cast<MappingPlan&>(*plan);
+  edited.jsum += 1;
+  edited.cell_of_rank.front() += 1000;
+  ASSERT_NE(serialize_plan(*plan), plan->frame());
+  EXPECT_EQ(handle_request(*service, "map 6x8 00 nn 6 8", want_shutdown), miss);
+  EXPECT_EQ(handle_request(*service, "mapspec 6x8 00 nn 6 8", want_shutdown), miss);
+  edited.jsum -= 1;
+  edited.cell_of_rank.front() -= 1000;
+  EXPECT_EQ(serialize_plan(*plan), miss);
+  EXPECT_EQ(service->counters().cache_hits, 2u);
+}
+
+TEST(WireEncodeOnce, ThreeMapspecTwinsReceiveOneSharedEncodedFinal) {
+  using std::chrono::milliseconds;
+  auto service = slow_service(milliseconds(300));
+  const std::string line = "mapspec 6x8 00 nn 6 8";
+  std::vector<Response> responses(3);
+  std::vector<std::thread> twins;
+  for (Response& response : responses) {
+    twins.emplace_back([&service, &line, &response] {
+      bool want_shutdown = false;
+      response = handle_request_ex(*service, line, want_shutdown);
+    });
+  }
+  for (std::thread& twin : twins) twin.join();
+  ASSERT_EQ(service->counters().deduped, 2u) << "the twins did not join one race";
+  for (const Response& response : responses) {
+    ASSERT_TRUE(response.follow_up) << "a twin was answered final before the race ended";
+    EXPECT_EQ(response.immediate, responses[0].immediate);  // one shared provisional plan
+    EXPECT_EQ(response.immediate.rfind(std::string(kProvisionalHeader) + "\n", 0), 0u);
+  }
+
+  // Wait for the race to be delivered (the service reads the final plan's
+  // costs under its lock before counting the completion), then edit it.
+  while (service->counters().completed == 0) std::this_thread::sleep_for(milliseconds(5));
+  const auto plan = cached_plan(*service, "6x8 00 nn 6 8");
+  ASSERT_NE(plan, nullptr);
+  const std::string committed = plan->frame();
+  MappingPlan& edited = const_cast<MappingPlan&>(*plan);
+  edited.jmax += 1;
+  for (Response& response : responses) {
+    EXPECT_EQ(response.follow_up(), std::string(kRevisionLine) + "\n" + committed);
+  }
+  edited.jmax -= 1;
+  EXPECT_EQ(serialize_plan(*plan), committed);
+  EXPECT_EQ(service->counters().completed, 1u);
+}
+
+TEST(WireEncodeOnce, ConcurrentHitsAndTwinsServeDirectEngineFramesByteForByte) {
+  const std::vector<std::string> instances = {"6x8 00 nn 6 8", "8x8 11 hops 8 8",
+                                              "12x16 01 component 16 12",
+                                              "4x6x8 000 nn 12 16"};
+  // Reference frames: the reference encoder over plans a direct engine
+  // computes with the service's registry and options.
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  PortfolioEngine direct(tiny_registry(), engine_options);
+  std::vector<std::string> expected;
+  for (const std::string& args : instances) {
+    std::istringstream in(args);
+    const MapRequest request = parse_map_request(in);
+    const Instance& inst = request.instance;
+    expected.push_back(serialize_plan(*direct.map(inst.grid, inst.stencil, inst.alloc)));
+  }
+
+  auto service = tiny_service(2);
+  constexpr int kThreads = 8;
+  constexpr int kRequests = 40;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int k = 0; k < kRequests; ++k) {
+        // Every thread starts on the same instance, so the first requests
+        // are single-flight twins; later ones are cache hits.
+        const std::size_t i = static_cast<std::size_t>(k / 2) % instances.size();
+        const bool spec = (t + k) % 2 == 0;
+        bool want_shutdown = false;
+        const std::string got = handle_request(
+            *service, (spec ? "mapspec " : "map ") + instances[i], want_shutdown);
+        const bool ok = got == expected[i] ||
+                        (spec && got == provisional_of(expected[i]) +
+                                            std::string(kRevisionLine) + "\n" + expected[i]);
+        if (!ok) bad.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(bad.load(), 0);
+  const ServiceCounters c = service->counters();
+  EXPECT_EQ(c.failed, 0u);
+  EXPECT_EQ(c.completed + c.cache_hits + c.deduped, c.submitted);
+  EXPECT_GT(c.cache_hits, 0u);
 }
 
 // ----------------------------------------------- mixed-version interop (PR 6) --
