@@ -49,6 +49,12 @@
 //       every final plan must stay bit-identical to a direct engine race
 //       (the ISSUE 10 acceptance pins — speculation buys latency, never
 //       plan quality).
+//  (12) Plan construction per backend: each backend's remap CPU time
+//       (CLOCK_THREAD_CPUTIME_ID, best of 3) on nn instances of 4k, 16k
+//       and 65k ranks (64x64, 128x128, 1024x64; 64 ranks per node), so the
+//       O(p) block emission of the splitters stays pinned. viem is left
+//       out: its cost is section 10's. A checksum over the cell vectors
+//       pins the plans.
 //
 // `bench_engine --json [FILE]` additionally writes the machine-readable
 // perf trajectory (default BENCH_engine.json, committed to the repo): a
@@ -58,6 +64,8 @@
 // Schema spec: docs/FORMATS.md.
 //
 // Plain chrono timing — runs everywhere, no Google Benchmark dependency.
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -93,6 +101,13 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// CPU time of the calling thread, in milliseconds.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
 /// FNV-1a over arbitrary text — the plan-quality checksums. Deterministic
@@ -999,6 +1014,45 @@ int main(int argc, char** argv) {
   json.put_count("spec.upgraded", spec_counters.upgraded);
   json.put_bool("spec.speedup_ok", spec_ratio >= 10.0);
   json.put_bool("spec.final_identical", final_identical);
+
+  // ---- (12) plan construction per backend --------------------------------
+  const MapperRegistry backends = MapperRegistry::with_default_backends();
+  std::uint64_t remap_checksum = fnv1a("");
+  std::cout << "\nRemap CPU per backend (ms, best of 3):\n";
+  for (const auto& [label, dims] : std::vector<std::pair<std::string, Dims>>{
+           {"4k", {64, 64}}, {"16k", {128, 128}}, {"65k", {1024, 64}}}) {
+    const CartesianGrid grid(dims);
+    const Stencil stencil = Stencil::nearest_neighbor(2);
+    const NodeAllocation alloc =
+        NodeAllocation::homogeneous(static_cast<int>(grid.size() / 64), 64);
+    std::cout << "  " << label << ":";
+    for (const std::string& name : backends.names()) {
+      if (name == "viem") continue;
+      const auto mapper = backends.create(name);
+      if (!mapper->applicable(grid, stencil, alloc)) continue;
+      double best_ms = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        const double t0 = thread_cpu_ms();
+        const Remapping m = mapper->remap(grid, stencil, alloc);
+        const double ms = thread_cpu_ms() - t0;
+        best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+        if (rep == 0) {
+          for (const Cell c : m.cell_of_rank()) {  // little-endian bytes
+            for (int b = 0; b < 8; ++b) {
+              remap_checksum ^= static_cast<std::uint64_t>(c) >> (8 * b) & 0xffU;
+              remap_checksum *= 1099511628211ULL;
+            }
+          }
+        }
+      }
+      std::string key = name;
+      std::replace(key.begin(), key.end(), '+', '-');
+      json.put("remap." + label + "." + key + "_ms", best_ms);
+      std::cout << " " << name << " " << std::setprecision(2) << best_ms;
+    }
+    std::cout << "\n";
+  }
+  json.put_checksum("remap.cells_checksum", remap_checksum);
 
   const bool all_ok = identical && selection_ok && dedup_ok && admission_ok &&
                       sharding_ok && overhead_ok && eval_ok && gmap_ok && spec_ok;

@@ -1,8 +1,10 @@
 // Scaling of the mapping algorithms with the process count p: the paper's
 // complexity claims are O(log N * sum d_i) for Hyperplane, O(log p log d)
 // for k-d Tree and O(k d) for Stencil Strips *per rank*. We time both a
-// single new_coordinate call (the distributed cost) and the full remap
-// (p times that), plus the general graph mapper for contrast.
+// single new_coordinate call (the distributed cost) and the full remap,
+// which builds the decomposition once and writes the p cells in O(p)
+// rather than repeating the per-rank descent p times, plus the general
+// graph mapper for contrast.
 #include <benchmark/benchmark.h>
 
 #include "core/algorithms.hpp"

@@ -9,12 +9,9 @@ Coord BlockedMapper::new_coordinate(const CartesianGrid& grid, const Stencil& /*
   return grid.coord_of(static_cast<Cell>(rank));
 }
 
-Remapping BlockedMapper::remap(const CartesianGrid& grid, const Stencil& stencil,
-                               const NodeAllocation& alloc, ExecContext& ctx) const {
-  GRIDMAP_CHECK(applicable(grid, stencil, alloc),
-                "mapper not applicable to this instance");
-  ctx.checkpoint();
-  return Remapping::identity(grid);
+void BlockedMapper::emit_blocks(const CartesianGrid& grid, const Stencil& /*stencil*/,
+                                const NodeAllocation& /*alloc*/, BlockEmitter& out) const {
+  out.emit(Block::row_major(grid.dims()));
 }
 
 }  // namespace gridmap

@@ -18,8 +18,9 @@ class BlockedMapper final : public DistributedMapper {
                        const NodeAllocation& alloc, Rank rank,
                        ExecContext& ctx) const override;
 
-  Remapping remap(const CartesianGrid& grid, const Stencil& stencil,
-                  const NodeAllocation& alloc, ExecContext& ctx) const override;
+ private:
+  void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                   const NodeAllocation& alloc, BlockEmitter& out) const override;
 };
 
 }  // namespace gridmap

@@ -52,6 +52,24 @@ bool NodecartMapper::applicable(const CartesianGrid& grid, const Stencil& stenci
   return within_node_block(grid.dims(), alloc.uniform_size()).has_value();
 }
 
+void NodecartMapper::emit_blocks(const CartesianGrid& grid, const Stencil& /*stencil*/,
+                                 const NodeAllocation& alloc, BlockEmitter& out) const {
+  std::optional<Dims> block;
+  if (alloc.homogeneous()) block = within_node_block(grid.dims(), alloc.uniform_size(), out.ctx());
+  GRIDMAP_CHECK(block.has_value(),
+                "Nodecart requires a homogeneous allocation and a factorizable node size");
+  // Node r / n takes the row-major position r / n in the node grid
+  // q_i = d_i / c_i; its n ranks fill the block c row-major.
+  Dims node_dims(block->size());
+  for (std::size_t i = 0; i < block->size(); ++i) node_dims[i] = grid.dims()[i] / (*block)[i];
+  Block node = Block::row_major(*block);
+  std::vector<int> q(block->size(), 0);
+  do {
+    for (std::size_t i = 0; i < q.size(); ++i) node.origin[i] = q[i] * (*block)[i];
+    out.emit(node);
+  } while (next_row_major(q, node_dims));
+}
+
 Coord NodecartMapper::new_coordinate(const CartesianGrid& grid, const Stencil& stencil,
                                      const NodeAllocation& alloc, Rank rank,
                                      ExecContext& ctx) const {

@@ -30,6 +30,10 @@ class NodecartMapper final : public DistributedMapper {
   /// exists. Exposed for tests.
   std::optional<Dims> within_node_block(const Dims& dims, int n,
                                         ExecContext& ctx = ExecContext::none()) const;
+
+ private:
+  void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                   const NodeAllocation& alloc, BlockEmitter& out) const override;
 };
 
 }  // namespace gridmap

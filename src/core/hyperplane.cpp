@@ -50,26 +50,39 @@ HyperplaneMapper::Split find_split_impl(const Dims& dims, const std::vector<doub
 
 }  // namespace
 
-std::vector<int> HyperplaneMapper::preferred_order(const Dims& dims,
-                                                   const Stencil& stencil) const {
-  std::vector<double> scores(dims.size(), 0.0);
-  if (options_.stencil_aware_order && !stencil.empty()) {
-    scores = stencil.cos2_scores();
-  }
-  std::vector<int> order;
-  preferred_order_into(dims, scores, order);
-  return order;
+std::vector<double> HyperplaneMapper::scores(const Dims& dims, const Stencil& stencil) const {
+  if (options_.stencil_aware_order && !stencil.empty()) return stencil.cos2_scores();
+  return std::vector<double>(dims.size(), 0.0);
+}
+
+int HyperplaneMapper::node_size(const NodeAllocation& alloc) const {
+  return alloc.homogeneous() ? alloc.uniform_size() : alloc.representative_size(options_.rep);
 }
 
 HyperplaneMapper::Split HyperplaneMapper::find_split(const Dims& dims,
                                                      const Stencil& stencil,
                                                      int n) const {
-  std::vector<double> scores(dims.size(), 0.0);
-  if (options_.stencil_aware_order && !stencil.empty()) {
-    scores = stencil.cos2_scores();
-  }
   std::vector<int> order;
-  return find_split_impl(dims, scores, n, order);
+  return find_split_impl(dims, scores(dims, stencil), n, order);
+}
+
+void HyperplaneMapper::emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                                   const NodeAllocation& alloc, BlockEmitter& out) const {
+  const int n = node_size(alloc);
+  const std::vector<double> score = scores(grid.dims(), stencil);
+  const std::int64_t leaf_max = (options_.use_base_case ? 2 : 1) * static_cast<std::int64_t>(n);
+  std::vector<int> scratch;
+  out.emit_bisection(
+      [&](const Dims& extent, std::int64_t volume) -> BlockEmitter::Cut {
+        if (volume <= leaf_max) return {};
+        const Split split = find_split_impl(extent, score, n, scratch);
+        return {split.dim, split.lhs};
+      },
+      // Base case: mixed-radix over the sub-grid, most-preferred cut
+      // dimension slowest (see new_coordinate).
+      [&](const Dims& extent, std::vector<int>& order) {
+        preferred_order_into(extent, score, order);
+      });
 }
 
 Coord HyperplaneMapper::new_coordinate(const CartesianGrid& grid, const Stencil& stencil,
@@ -78,14 +91,9 @@ Coord HyperplaneMapper::new_coordinate(const CartesianGrid& grid, const Stencil&
   GRIDMAP_CHECK(rank >= 0 && rank < alloc.total(), "rank out of range");
   GRIDMAP_CHECK(grid.size() == alloc.total(),
                 "allocation total must equal number of grid positions");
-  const int n = alloc.homogeneous() ? alloc.uniform_size()
-                                    : alloc.representative_size(options_.rep);
-
+  const int n = node_size(alloc);
   // The Eq. (2) scores depend only on the stencil; computed once per call.
-  std::vector<double> scores(grid.dims().size(), 0.0);
-  if (options_.stencil_aware_order && !stencil.empty()) {
-    scores = stencil.cos2_scores();
-  }
+  const std::vector<double> score = scores(grid.dims(), stencil);
 
   Dims dims = grid.dims();
   Coord origin(dims.size(), 0);
@@ -97,7 +105,7 @@ Coord HyperplaneMapper::new_coordinate(const CartesianGrid& grid, const Stencil&
     ctx.checkpoint();
     if (options_.use_base_case && size <= 2 * static_cast<std::int64_t>(n)) break;
     if (!options_.use_base_case && size <= static_cast<std::int64_t>(n)) break;
-    const Split split = find_split_impl(dims, scores, n, order);
+    const Split split = find_split_impl(dims, score, n, order);
     if (split.dim < 0) break;  // no n-divisible cut exists; assign directly
     const int i = split.dim;
     const std::int64_t lhs_cells = size / dims[static_cast<std::size_t>(i)] * split.lhs;
@@ -117,7 +125,7 @@ Coord HyperplaneMapper::new_coordinate(const CartesianGrid& grid, const Stencil&
   // the paper's new_coordinate step that e.g. turns a [2, n] grid into two
   // partitions with 3 outgoing edges each instead of two [1, n] slabs.
   std::int64_t t = static_cast<std::int64_t>(rank) - lo;
-  preferred_order_into(dims, scores, order);
+  preferred_order_into(dims, score, order);
   Coord coord = origin;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const int d = dims[static_cast<std::size_t>(*it)];

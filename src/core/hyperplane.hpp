@@ -46,7 +46,12 @@ class HyperplaneMapper final : public DistributedMapper {
   Split find_split(const Dims& dims, const Stencil& stencil, int n) const;
 
  private:
-  std::vector<int> preferred_order(const Dims& dims, const Stencil& stencil) const;
+  void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                   const NodeAllocation& alloc, BlockEmitter& out) const override;
+  /// Eq. (2) cut-preference scores (all zero without stencil-aware order).
+  std::vector<double> scores(const Dims& dims, const Stencil& stencil) const;
+  /// Node size n the cuts divide by (representative if heterogeneous).
+  int node_size(const NodeAllocation& alloc) const;
 
   Options options_;
 };

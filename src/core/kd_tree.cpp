@@ -38,15 +38,34 @@ int KdTreeMapper::find_split_index(const Dims& dims,
   return best;
 }
 
+namespace {
+
+std::vector<int> crossing_counts(const CartesianGrid& grid, const Stencil& stencil) {
+  return stencil.empty() ? std::vector<int>(static_cast<std::size_t>(grid.ndims()), 0)
+                         : stencil.crossing_counts();
+}
+
+}  // namespace
+
+void KdTreeMapper::emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                               const NodeAllocation& /*alloc*/, BlockEmitter& out) const {
+  const std::vector<int> crossing = crossing_counts(grid, stencil);
+  // Halve down to single cells, lower half first.
+  out.emit_bisection([&](const Dims& extent, std::int64_t volume) -> BlockEmitter::Cut {
+    if (volume <= 1) return {};
+    const int k = find_split_index(extent, crossing);
+    GRIDMAP_CHECK(k >= 0, "no splittable dimension left in non-trivial grid");
+    return {k, extent[static_cast<std::size_t>(k)] / 2};
+  });
+}
+
 Coord KdTreeMapper::new_coordinate(const CartesianGrid& grid, const Stencil& stencil,
                                    const NodeAllocation& alloc, Rank rank,
                                    ExecContext& ctx) const {
   GRIDMAP_CHECK(rank >= 0 && rank < alloc.total(), "rank out of range");
   GRIDMAP_CHECK(grid.size() == alloc.total(),
                 "allocation total must equal number of grid positions");
-  const std::vector<int> crossing =
-      stencil.empty() ? std::vector<int>(static_cast<std::size_t>(grid.ndims()), 0)
-                      : stencil.crossing_counts();
+  const std::vector<int> crossing = crossing_counts(grid, stencil);
 
   Dims dims = grid.dims();
   Coord origin(dims.size(), 0);

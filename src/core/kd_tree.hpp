@@ -34,6 +34,9 @@ class KdTreeMapper final : public DistributedMapper {
   int find_split_index(const Dims& dims, const std::vector<int>& crossing_counts) const;
 
  private:
+  void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                   const NodeAllocation& alloc, BlockEmitter& out) const override;
+
   Options options_;
 };
 

@@ -7,8 +7,11 @@
 // stay as simple as before.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "core/allocation.hpp"
 #include "core/exec_context.hpp"
@@ -61,10 +64,73 @@ class Mapper {
                           const NodeAllocation& alloc, ExecContext& ctx) const = 0;
 };
 
+/// One box of the grid filled by consecutive ranks: the box
+/// [origin, origin + extent) walked in mixed-radix order over `order` (every
+/// axis, slowest first). An axis whose bit is set in `reversed` runs from its
+/// far end (the strips' snake).
+struct Block {
+  Coord origin;
+  Dims extent;
+  std::vector<int> order;
+  std::uint32_t reversed = 0;
+
+  /// The box [0, extent) walked row-major.
+  static Block row_major(const Dims& extent);
+};
+
+/// The shared plan-construction core of the DistributedMappers: receives
+/// their blocks in rank order and writes each rank's cell, so a full remap
+/// costs O(p) however the blocks were derived.
+class BlockEmitter {
+ public:
+  BlockEmitter(const CartesianGrid& grid, ExecContext& ctx);
+
+  ExecContext& ctx() noexcept { return ctx_; }
+
+  /// Assigns the next prod(block.extent) ranks to the block's cells, with a
+  /// cancellation checkpoint per row.
+  void emit(const Block& block);
+
+  /// Cut of a box along `dim`: its first `lhs` layers take the lower ranks.
+  /// dim < 0 makes the box a leaf.
+  struct Cut {
+    int dim = -1;
+    int lhs = 0;
+  };
+  using CutFn = std::function<Cut(const Dims& extent, std::int64_t volume)>;
+  using LeafOrderFn = std::function<void(const Dims& extent, std::vector<int>& order)>;
+
+  /// Recursive bisection of the whole grid (Hyperplane, k-d Tree): `cut`
+  /// splits each box, lower side first; each leaf is emitted with the axis
+  /// order `leaf_order` writes, or row-major without one.
+  void emit_bisection(const CutFn& cut, const LeafOrderFn& leaf_order = {});
+
+  /// The finished remapping; every rank must have been emitted.
+  Remapping finish() &&;
+
+ private:
+  void bisect(Block& box, std::int64_t volume, const CutFn& cut,
+              const LeafOrderFn& leaf_order);
+
+  const CartesianGrid& grid_;
+  ExecContext& ctx_;
+  std::vector<Cell> cells_;
+  std::vector<std::int64_t> stride_;  // row-major cell strides
+  std::int64_t next_ = 0;
+  std::vector<int> digit_;         // odometer scratch for emit()
+  std::vector<std::int64_t> step_;  // signed cell step per order position
+};
+
+/// Advances `index` to its row-major successor within `radix` (last entry
+/// fastest); returns false after the last index, leaving `index` all zero.
+bool next_row_major(std::vector<int>& index, const Dims& radix);
+
 /// A mapper whose result every rank can compute locally from the input alone
 /// (the paper's design goal (a) in Section V). `new_coordinate` is the
-/// distributed entry point; `remap` (provided here) simply loops over ranks,
-/// so the two must stay consistent — a property the tests pin down.
+/// distributed per-rank entry point. `remap` builds the rank-independent
+/// decomposition once and hands its blocks to a BlockEmitter, so it is O(p)
+/// instead of p per-rank descents; new_coordinate stays the bit-identity
+/// oracle that the tests hold remap to.
 class DistributedMapper : public Mapper {
  public:
   using Mapper::remap;
@@ -79,10 +145,15 @@ class DistributedMapper : public Mapper {
                                const NodeAllocation& alloc, Rank rank,
                                ExecContext& ctx) const = 0;
 
-  /// Loops new_coordinate over all ranks with a cancellation checkpoint per
-  /// rank.
+  /// Checks the base applicability, then collects emit_blocks' output.
   Remapping remap(const CartesianGrid& grid, const Stencil& stencil,
-                  const NodeAllocation& alloc, ExecContext& ctx) const override;
+                  const NodeAllocation& alloc, ExecContext& ctx) const final;
+
+ protected:
+  /// Emits every rank's block in rank order. Must reject (GRIDMAP_CHECK)
+  /// whatever an applicable() override rejects beyond Mapper::applicable.
+  virtual void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                           const NodeAllocation& alloc, BlockEmitter& out) const = 0;
 };
 
 }  // namespace gridmap

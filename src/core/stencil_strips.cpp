@@ -75,7 +75,40 @@ StripShape strip_shape(int di, int s, int m, int c, bool balanced) {
   return {width, c * s};
 }
 
+// Heterogeneous allocations size the strips for the mean node.
+int node_size(const NodeAllocation& alloc) {
+  return alloc.homogeneous() ? alloc.uniform_size()
+                             : alloc.representative_size(NodeSizeRep::kMean);
+}
+
 }  // namespace
+
+void StencilStripsMapper::emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                                      const NodeAllocation& alloc, BlockEmitter& out) const {
+  const Layout lay = layout(grid, stencil, node_size(alloc));
+  // Strips take consecutive rank ranges in lexicographic order of their
+  // strip coordinates; inside a strip the along-dimension is slowest and
+  // runs backwards in every odd strip when snaking (see new_coordinate).
+  Block strip;
+  strip.origin.assign(grid.dims().size(), 0);
+  strip.extent = grid.dims();
+  strip.order.push_back(lay.along);
+  strip.order.insert(strip.order.end(), lay.strip_dims.begin(), lay.strip_dims.end());
+  std::vector<int> c(lay.strip_dims.size(), 0);
+  do {
+    int parity = 0;
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      const auto dim = static_cast<std::size_t>(lay.strip_dims[j]);
+      const StripShape sh = strip_shape(grid.dims()[dim], lay.widths[j], lay.counts[j], c[j],
+                                        options_.balanced_widths);
+      strip.origin[dim] = sh.offset;
+      strip.extent[dim] = sh.width;
+      parity += c[j];
+    }
+    strip.reversed = options_.snake && (parity & 1) ? 1u << lay.along : 0u;
+    out.emit(strip);
+  } while (next_row_major(c, lay.counts));
+}
 
 Coord StencilStripsMapper::new_coordinate(const CartesianGrid& grid, const Stencil& stencil,
                                           const NodeAllocation& alloc, Rank rank,
@@ -84,10 +117,8 @@ Coord StencilStripsMapper::new_coordinate(const CartesianGrid& grid, const Stenc
   GRIDMAP_CHECK(rank >= 0 && rank < alloc.total(), "rank out of range");
   GRIDMAP_CHECK(grid.size() == alloc.total(),
                 "allocation total must equal number of grid positions");
-  const int n = alloc.homogeneous() ? alloc.uniform_size()
-                                    : alloc.representative_size(NodeSizeRep::kMean);
   const Dims& dims = grid.dims();
-  const Layout lay = layout(grid, stencil, n);
+  const Layout lay = layout(grid, stencil, node_size(alloc));
   const int nstrip_dims = static_cast<int>(lay.strip_dims.size());
 
   // Locate the strip containing this rank. Strips are enumerated

@@ -51,6 +51,9 @@ class StencilStripsMapper final : public DistributedMapper {
   Layout layout(const CartesianGrid& grid, const Stencil& stencil, int n) const;
 
  private:
+  void emit_blocks(const CartesianGrid& grid, const Stencil& stencil,
+                   const NodeAllocation& alloc, BlockEmitter& out) const override;
+
   Options options_;
 };
 

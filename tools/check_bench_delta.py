@@ -58,10 +58,14 @@ def load(path):
     return data
 
 
+USAGE = ("usage: check_bench_delta.py BASELINE.json CURRENT.json "
+         "[--allowance FRACTION] [--trend-only]")
+
+
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
+    args = []
     allowance = 0.10
-    trend_only = "--trend-only" in argv[1:]
+    trend_only = False
     it = iter(argv[1:])
     for a in it:
         if a == "--allowance":
@@ -70,8 +74,15 @@ def main(argv):
             except (StopIteration, ValueError):
                 print("error: --allowance wants a fraction", file=sys.stderr)
                 return 2
+        elif a == "--trend-only":
+            trend_only = True
+        elif a.startswith("--"):
+            print(f"error: unknown option {a}\n{USAGE}", file=sys.stderr)
+            return 2
+        else:
+            args.append(a)
     if len(args) != 2 or not 0 <= allowance < 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
 
     baseline, current = load(args[0]), load(args[1])
